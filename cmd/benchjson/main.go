@@ -13,15 +13,24 @@
 // only "current" is replaced — so the committed artifact records the
 // pre-change numbers next to the latest ones. Pass -rebaseline to promote
 // the new run to the baseline as well.
+//
+// Each run also records the host it ran on (CPU count, GOMAXPROCS, CPU
+// model, Go version, git commit) as "host"; "baseline_host" keeps the
+// host of the preserved baseline, or is absent when that baseline
+// predates host recording — so numbers from different machines are
+// labelled rather than silently compared.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,12 +43,23 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// Host describes the machine and build a run came from.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	GoVersion  string `json:"go_version"`
+	GitCommit  string `json:"git_commit"`
+}
+
 // File is the on-disk schema.
 type File struct {
-	Experiment string   `json:"experiment"`
-	Note       string   `json:"note,omitempty"`
-	Baseline   []Result `json:"baseline"`
-	Current    []Result `json:"current"`
+	Experiment   string   `json:"experiment"`
+	Note         string   `json:"note,omitempty"`
+	Host         *Host    `json:"host,omitempty"`
+	BaselineHost *Host    `json:"baseline_host,omitempty"`
+	Baseline     []Result `json:"baseline"`
+	Current      []Result `json:"current"`
 }
 
 var (
@@ -124,6 +144,49 @@ func aggregate(results []Result) []Result {
 	return out
 }
 
+// benchProcs matches the -N GOMAXPROCS suffix go test appends to
+// benchmark names.
+var benchProcs = regexp.MustCompile(`^Benchmark\S+-(\d+)\s`)
+
+// hostOf describes the host from the go test output — its "cpu:" header
+// (CPU stays empty without one) and the -N suffix of the benchmark
+// names, which say what the benchmarks themselves saw — falling back to
+// this process's view for the rest.
+func hostOf(lines []string) *Host {
+	h := &Host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GitCommit:  gitCommit(),
+	}
+	procsSeen := false
+	for _, line := range lines {
+		line = strings.TrimSpace(line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			h.CPU = strings.TrimSpace(cpu)
+		} else if m := benchProcs.FindStringSubmatch(line); m != nil && !procsSeen {
+			if n, err := strconv.Atoi(m[1]); err == nil {
+				h.GOMAXPROCS, procsSeen = n, true
+			}
+		}
+	}
+	return h
+}
+
+// gitCommit names the checked-out commit, suffixed "-dirty" when the
+// tree has uncommitted changes ("" outside a git checkout).
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	commit := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+		commit += "-dirty"
+	}
+	return commit
+}
+
 func median(vals []float64) float64 {
 	sort.Float64s(vals)
 	n := len(vals)
@@ -153,12 +216,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	f := File{Experiment: *experiment, Note: *note, Baseline: current, Current: current}
+	host := hostOf(lines)
+	f := File{Experiment: *experiment, Note: *note, Host: host, BaselineHost: host, Baseline: current, Current: current}
 	if *out != "" && !*rebaseline {
 		if prev, err := os.ReadFile(*out); err == nil {
 			var old File
 			if json.Unmarshal(prev, &old) == nil && len(old.Baseline) > 0 {
 				f.Baseline = old.Baseline
+				f.BaselineHost = old.BaselineHost
 				if f.Note == "" {
 					f.Note = old.Note
 				}

@@ -46,8 +46,6 @@ var (
 	snapshot = flag.String("snapshot", "", "stable-storage file: loaded at start, saved on shutdown")
 	walDir   = flag.String("wal", "",
 		"durability directory: write-ahead log + snapshot + netd state; mutations are fsynced before acknowledgment and a restart recovers transparently")
-	walLinger = flag.Duration("wal-linger", 0,
-		"group-commit linger window: how long the committer waits for concurrent mutations to join a batch (0 = default 200µs, negative = no linger)")
 	walBatch = flag.Int("wal-batch", 0, "max records fsynced per group-commit batch (0 = default 256)")
 	dumpSC   = flag.Bool("scstats", false, "dump per-subcontract metrics on shutdown and on SIGUSR1")
 
@@ -125,9 +123,7 @@ func main() {
 	store := filesys.NewStore()
 	var wal *filesys.WAL
 	if *walDir != "" {
-		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{
-			Linger: *walLinger, MaxBatch: *walBatch,
-		})
+		wal, err = filesys.OpenWAL(*walDir, store, filesys.WALOptions{MaxBatch: *walBatch})
 		if err != nil {
 			log.Fatalf("opening wal: %v", err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -77,37 +78,93 @@ func TestE17SampledAllocGuard(t *testing.T) {
 	}
 }
 
+// pairedOverhead prices one setting against another on the same call.
+// It runs short arms of calls under base and under with, in interleaved
+// pairs that alternate which arm goes first, and returns the median over
+// the pairs of the per-call difference (with − base) in ns. A pair spans
+// well under a millisecond, so contention from other processes (a
+// parallel package run, a noisy neighbour) lands on both of its arms
+// alike and cancels in the difference; the median discards the pairs it
+// splits. (Two one-second arms in a fixed order, by contrast, were seen
+// to favour whichever arm ran second by up to 100 ns on a 2-vCPU VM.)
+func pairedOverhead(t *testing.T, base, with func(), call func() error) float64 {
+	t.Helper()
+	const (
+		pairs   = 8001
+		perArm  = 32
+		warmArm = 8 // untimed calls after each switch
+	)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	arm := func(set func()) float64 {
+		set()
+		run(warmArm)
+		start := time.Now()
+		run(perArm)
+		return float64(time.Since(start).Nanoseconds()) / perArm
+	}
+	diffs := make([]float64, pairs)
+	for r := range diffs {
+		if r%2 == 0 {
+			b := arm(base)
+			diffs[r] = arm(with) - b
+		} else {
+			w := arm(with)
+			diffs[r] = w - arm(base)
+		}
+	}
+	sort.Float64s(diffs)
+	return diffs[pairs/2]
+}
+
 // TestE17UntracedLatencyGuard bounds the hook tax in time: the untraced
 // call with sampling enabled-but-not-picked must stay within 30 ns/op of
-// the same call with sampling off (the E14 acceptance margin). Both
-// sides are measured in-process back to back, three attempts, so machine
-// noise has to hold for all three to produce a false failure.
+// the same call with sampling off (the E14 acceptance margin), measured
+// as the median of paired rounds (see pairedOverhead).
+//
+// Under -race the sampling check's atomics become instrumented runtime
+// calls and the paired median reads ~200 ns, which prices the detector,
+// not the check. The race build therefore keeps the guard's original
+// measurement: two one-benchmark arms, off then unsampled, three
+// attempts.
 func TestE17UntracedLatencyGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short")
 	}
 	remote := e17World(t)
-	measure := func(every int) float64 {
-		trace.SetSampling(every)
-		defer trace.SetSampling(0)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := callEcho(remote, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
+	defer trace.SetSampling(0)
+	off := func() { trace.SetSampling(0) }
+	unsampled := func() { trace.SetSampling(1 << 30) }
+	call := func() error { return callEcho(remote, nil) }
 	const margin = 30.0
-	var last string
-	for attempt := 0; attempt < 3; attempt++ {
-		off := measure(0)
-		unsampled := measure(1 << 30)
-		if unsampled-off <= margin {
-			return
+	if raceEnabled {
+		measure := func(set func()) float64 {
+			set()
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := call(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			return float64(r.T.Nanoseconds()) / float64(r.N)
 		}
-		last = time.Duration(int64(unsampled-off)).String() + " over"
+		var last float64
+		for attempt := 0; attempt < 3; attempt++ {
+			base := measure(off)
+			if last = measure(unsampled) - base; last <= margin {
+				return
+			}
+		}
+		t.Errorf("unsampled call exceeds the untraced call by %.1f ns/op in 3 consecutive runs (budget 30ns)", last)
+		return
 	}
-	t.Errorf("unsampled call exceeds the untraced call by %s in 3 consecutive runs (budget 30ns)", last)
+	if over := pairedOverhead(t, off, unsampled, call); over > margin {
+		t.Errorf("unsampled call exceeds the untraced call by %.1f ns/op (median of paired rounds; budget 30ns)", over)
+	}
 }

@@ -16,17 +16,18 @@ import (
 // write is acknowledged only after its log record is fsynced, so the
 // cost under test is how well the committer amortizes that fsync:
 // concurrent writers apply in memory, enqueue their records, and one
-// committer goroutine drains the queue — a short linger window plus a
-// MaxBatch cap decide how many acknowledgments each fsync carries.
+// committer goroutine drains the queue. It commits the first record at
+// once; records queued during that fsync form the next batch, up to the
+// MaxBatch cap, which decides how many acknowledgments each fsync
+// carries.
 //
 // Knobs: parallelism ∈ {1, 64} concurrent writers × group-commit batch
 // size ∈ {1, 8, 64, 256}. Writers hit distinct files so the sweep
 // measures commit batching, not file-lock contention. The in-memory
 // cells (no WAL) bound what durability costs at all; the P1 cell shows
-// the floor — a lone writer pays a full linger + fsync per write
-// regardless of batch size — and the P64 × batch sweep shows group
-// commit buying back that cost. `make bench` records this sweep in
-// BENCH_wal.json.
+// the floor — a lone writer pays one write + fsync per write regardless
+// of batch size — and the P64 × batch sweep shows group commit sharing
+// that cost. `make bench` records this sweep in BENCH_wal.json.
 
 // e19Setup builds a file service over a WAL-backed store (batch > 0) or
 // a plain in-memory store (batch == 0) and returns a local client-side

@@ -235,3 +235,89 @@ func TestInlineStateAdapts(t *testing.T) {
 	nilState.Observe(time.Millisecond, th) // must not panic
 	nilState.Promote()
 }
+
+func TestOpInlineKeysStateByOp(t *testing.T) {
+	th := 100 * time.Microsecond
+	tab := NewOpInline(false)
+	read, write := tab.For(0xcedfa3c5, true), tab.For(0xbe269f5c, true)
+	if read == write {
+		t.Fatal("two ops share one state")
+	}
+	if tab.For(0xcedfa3c5, true) != read {
+		t.Fatal("an op's second lookup found a different state")
+	}
+	for i := 0; i < PromoteStreak; i++ {
+		read.Observe(th/2, th)
+	}
+	if !read.Eligible() || write.Eligible() {
+		t.Fatalf("after a fast streak on one op: read eligible %v, write eligible %v; want true, false",
+			read.Eligible(), write.Eligible())
+	}
+	door := tab.For(0, false)
+	if door == read || door == write || door.Eligible() {
+		t.Fatal("an unpeekable request must use its own door-wide state")
+	}
+	// Once every slot is claimed, further ops share the door-wide state.
+	for op := uint32(100); op < 100+opSlots; op++ {
+		tab.For(op, true)
+	}
+	if tab.For(7777, true) != door {
+		t.Fatal("an op past the table's capacity did not fall back to the door-wide state")
+	}
+
+	hinted := NewOpInline(true)
+	if !hinted.For(42, true).Eligible() || !hinted.For(0, false).Eligible() {
+		t.Fatal("a hinted door must promote every op, including unseen ones")
+	}
+}
+
+func TestOpInlineLookupAllocatesNothing(t *testing.T) {
+	tab := NewOpInline(false)
+	if n := testing.AllocsPerRun(100, func() { tab.For(0xbe269f5c, true).Eligible() }); n != 0 {
+		t.Fatalf("per-op lookup allocates %.1f/op, want 0", n)
+	}
+}
+
+func TestOpInlineConcurrentClaims(t *testing.T) {
+	// Readers of many connections look ops up at once: every op must
+	// resolve to one state for all of them, and distinct ops never share
+	// a slot while slots remain.
+	tab := NewOpInline(false)
+	const goroutines = 8
+	ops := []uint32{0xcedfa3c5, 0xbe269f5c, 0x23a0d95c, 0x4671ae97, 0x8d39bde6, 0xd33b3297}
+	got := make([][]*InlineState, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 100; round++ {
+				for i := range ops {
+					op := ops[(i+g)%len(ops)]
+					st := tab.For(op, true)
+					st.Observe(time.Microsecond, time.Millisecond)
+					if round == 0 {
+						got[g] = append(got[g], st)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	byOp := map[uint32]*InlineState{}
+	for i, op := range ops {
+		byOp[op] = tab.For(op, true)
+		for j := 0; j < i; j++ {
+			if byOp[op] == byOp[ops[j]] {
+				t.Fatalf("ops %#x and %#x share a state", op, ops[j])
+			}
+		}
+	}
+	for g := range got {
+		for i, st := range got[g] {
+			if op := ops[(i+g)%len(ops)]; st != byOp[op] {
+				t.Fatalf("goroutine %d saw op %#x at a different state than the table holds", g, op)
+			}
+		}
+	}
+}

@@ -76,3 +76,66 @@ func (st *InlineState) Observe(d, threshold time.Duration) {
 		}
 	}
 }
+
+// opSlots is how many distinct operations one export tracks separately.
+// Interfaces here have a handful of operations; an op arriving once
+// every slot is taken shares the door-wide state.
+const opSlots = 8
+
+// OpInline is the inline-eligibility state of one exported door, kept
+// per operation: a File door's Read may be promoted while its Write,
+// which waits on a log commit, keeps going to the pool. Operations are
+// the leading uint32 of the request (the op number a stub skeleton
+// dispatches on). A request too short to carry one uses the door-wide
+// slot.
+//
+// The table is a fixed array claimed by CAS on first sight of an op, so
+// the per-call lookup allocates nothing.
+type OpInline struct {
+	ops  [opSlots]opInline
+	door InlineState
+	// hinted promotes every op as its slot is claimed (the door's
+	// explicit non-blocking hint); fixed at construction.
+	hinted bool
+}
+
+type opInline struct {
+	tag atomic.Uint64 // 1<<32 | op once claimed; 0 while free
+	st  InlineState
+}
+
+// NewOpInline returns a door's per-op table. promote applies the door's
+// non-blocking hint to every op, including ones not yet seen.
+func NewOpInline(promote bool) *OpInline {
+	t := &OpInline{hinted: promote}
+	if promote {
+		t.door.Promote()
+	}
+	return t
+}
+
+// For returns the state tracking op; ok false (no op could be read)
+// selects the door-wide slot.
+func (t *OpInline) For(op uint32, ok bool) *InlineState {
+	if !ok {
+		return &t.door
+	}
+	want := 1<<32 | uint64(op)
+	for i := uint32(0); i < opSlots; i++ {
+		sl := &t.ops[(op+i)%opSlots]
+		tag := sl.tag.Load()
+		if tag == 0 {
+			if sl.tag.CompareAndSwap(0, want) {
+				if t.hinted {
+					sl.st.Promote()
+				}
+				return &sl.st
+			}
+			tag = sl.tag.Load() // another op claimed it first
+		}
+		if tag == want {
+			return &sl.st
+		}
+	}
+	return &t.door
+}

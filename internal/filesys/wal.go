@@ -7,10 +7,12 @@
 // Commit is grouped: mutators enqueue their records and block while a
 // single committer goroutine drains the queue, writes one batch with one
 // write syscall and one fsync, and then wakes every waiter in the batch —
-// the same coalescing shape as netd's connection writer (PR 3), applied to
-// fsync cost instead of syscall cost. A bounded linger window lets
-// concurrent mutators pile into the batch; E19 sweeps the batch size
-// against throughput.
+// the same coalescing shape as netd's connection writer, applied to fsync
+// cost instead of syscall cost. The committer never waits for company: it
+// commits the first queued record at once, and whatever queues during
+// that fsync forms the next batch (at most MaxBatch records), so a lone
+// mutator pays one fsync and concurrent ones share theirs. E19 sweeps the
+// batch cap against throughput.
 //
 // On-disk format, per record:
 //
@@ -36,7 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/scstats"
@@ -92,10 +93,6 @@ var (
 // WALOptions tune the group-commit and compaction behavior. Zero fields
 // take the documented defaults.
 type WALOptions struct {
-	// Linger is how long the committer waits after waking before draining
-	// the queue, letting concurrent mutators join the batch. 0 takes the
-	// default; negative disables lingering (sync immediately).
-	Linger time.Duration
 	// MaxBatch caps the records fsynced together. Default 256.
 	MaxBatch int
 	// CompactBytes is the log size that triggers a snapshot checkpoint
@@ -104,12 +101,6 @@ type WALOptions struct {
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.Linger == 0 {
-		o.Linger = 200 * time.Microsecond
-	}
-	if o.Linger < 0 {
-		o.Linger = 0
-	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 256
 	}
@@ -164,6 +155,11 @@ type WAL struct {
 
 	kick chan struct{}
 	done chan struct{}
+
+	// holdCommit, when set, runs at the start of every commitBatch, on the
+	// committer goroutine: a test seam that parks the committer mid-batch
+	// so records can be queued behind it deterministically.
+	holdCommit func()
 }
 
 // OpenWAL opens (creating if needed) the durability directory for store:
@@ -305,31 +301,15 @@ func (w *WAL) Kill() {
 }
 
 // committer is the group-commit loop: wake on the first queued record,
-// linger so concurrent mutators can join, then drain the queue in batches
-// of at most MaxBatch — one write and one fsync per batch — and wake the
-// batch's waiters. Compaction runs between batches, on this goroutine, so
-// it never races a log append.
+// then drain the queue in batches of at most MaxBatch — one write and one
+// fsync per batch — and wake the batch's waiters. Records that arrive
+// while a batch is being written and fsynced wait for the next one, which
+// is what groups them. Compaction runs between batches, on this
+// goroutine, so it never races a log append.
 func (w *WAL) committer() {
 	defer close(w.done)
 	for {
 		<-w.kick
-		w.mu.Lock()
-		if w.killed {
-			w.mu.Unlock()
-			return
-		}
-		empty := len(w.queue) == 0
-		closed := w.closed
-		w.mu.Unlock()
-		if empty {
-			if closed {
-				return
-			}
-			continue
-		}
-		if w.opts.Linger > 0 {
-			time.Sleep(w.opts.Linger)
-		}
 		for {
 			w.mu.Lock()
 			if w.killed {
@@ -364,6 +344,9 @@ func (w *WAL) committer() {
 // commitBatch writes one batch of records as a single write syscall
 // followed by a single fsync, then wakes the waiters.
 func (w *WAL) commitBatch(batch []*walPending) {
+	if w.holdCommit != nil {
+		w.holdCommit()
+	}
 	out := buffer.New(256 * len(batch))
 	scratch := buffer.New(256)
 	for _, p := range batch {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -34,7 +35,7 @@ func mustWrite(t *testing.T, st *fileState, off int64, data []byte) {
 func TestWALRecoversAcrossKill(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestWALRecoversAcrossKill(t *testing.T) {
 func TestWALCloseCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestWALClosedMutationsFail(t *testing.T) {
 func TestWALCompactionBounds(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1, CompactBytes: 1})
+	w, err := OpenWAL(dir, s, WALOptions{CompactBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +202,79 @@ func TestWALConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestWALGroupCommitBatchesQueuedWrites proves group commit without a
+// linger and without timing luck: the committer is parked inside its
+// first batch, K writers queue behind it, and on release those K records
+// go out together — K+1 records appended with exactly 2 fsyncs.
+func TestWALGroupCommitBatchesQueuedWrites(t *testing.T) {
+	const k = 16
+	dir := t.TempDir()
+	s := NewStore()
+	w, err := OpenWAL(dir, s, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	files := make([]*fileState, k+1)
+	for i := range files {
+		files[i] = mustCreate(t, s, fmt.Sprintf("g%d", i))
+	}
+
+	// The seam is set before the next mutation, whose kick orders it
+	// before the committer's read.
+	held := make(chan struct{})
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // before the deferred Close, should the test fail while held
+	var once sync.Once
+	w.holdCommit = func() {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	}
+	appends0 := gWALAppends.Value()
+	syncs0 := gWALSyncs.Value()
+
+	errs := make(chan error, k+1)
+	go func() {
+		_, err := files[0].write(0, []byte("lead"))
+		errs <- err
+	}()
+	<-held
+	for i := 1; i <= k; i++ {
+		go func(f *fileState) {
+			_, err := f.write(0, []byte("follow"))
+			errs <- err
+		}(files[i])
+	}
+	for queued := 0; queued < k; {
+		runtime.Gosched()
+		w.mu.Lock()
+		queued = len(w.queue)
+		w.mu.Unlock()
+	}
+	releaseOnce()
+	for i := 0; i <= k; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := gWALAppends.Value() - appends0; d != k+1 {
+		t.Errorf("wal.appends grew by %d, want %d", d, k+1)
+	}
+	if d := gWALSyncs.Value() - syncs0; d != 2 {
+		t.Errorf("wal.syncs grew by %d, want 2 (one for the held batch, one for the %d queued behind it)", d, k)
+	}
+}
+
 // TestWALTornTailTruncated: a log ending in a half-written record (a
 // crash mid-batch) recovers the valid prefix, truncates the tail, and the
 // strict replay path reports the tear as ErrTornLogTail.
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +322,7 @@ func walStream(t *testing.T) ([]byte, *Store) {
 	t.Helper()
 	dir := t.TempDir()
 	s := NewStore()
-	w, err := OpenWAL(dir, s, WALOptions{Linger: -1})
+	w, err := OpenWAL(dir, s, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

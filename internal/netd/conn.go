@@ -166,6 +166,12 @@ type conn struct {
 	owner uint64
 	caps  atomic.Uint32
 
+	// accepted marks a conn this side accepted: it answers the peer's
+	// hello with its own once the conn is bound to the peer's session,
+	// so a dialler whose handshake completed is already bound here. Set
+	// before the conn is served.
+	accepted bool
+
 	mu        sync.Mutex
 	helloDone bool
 	sess      *session // peer lease session; guarded by Server.mu

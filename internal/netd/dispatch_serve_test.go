@@ -243,3 +243,97 @@ func TestConnDeathReclaimsParkedCalls(t *testing.T) {
 		t.Fatal("exported door not reclaimed after its holder died with parked calls")
 	}
 }
+
+// opPromoted reports whether any of m's exports has op promoted to the
+// inline path.
+func opPromoted(m *machine, op core.OpNum) func() bool {
+	return func() bool {
+		m.srv.mu.Lock()
+		defer m.srv.mu.Unlock()
+		for _, e := range m.srv.exports {
+			if e.inline.For(uint32(op), true).Eligible() {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func TestInlineEligibilityIsPerOp(t *testing.T) {
+	// A door whose fast op has been promoted to the inline path must not
+	// carry a blocking op onto the reader with it: the blocking op goes
+	// to the pool, and a fast call on the same connection completes while
+	// it is held. One worker, so a fast call that queued behind the held
+	// one could not complete at all.
+	const fastOp, slowOp core.OpNum = 1, 2
+	cfgA := quickCfg()
+	cfgA.Dispatch = DispatchConfig{
+		Workers: 1,
+		// Generous: every fast completion counts toward promotion, even
+		// under the race detector on a loaded host.
+		InlineThreshold: time.Second,
+	}
+	a := newMachineCfg(t, "A", cfgA)
+	cfgB := quickCfg()
+	cfgB.CallTimeout = 30 * time.Second
+	b := newMachineCfg(t, "B", cfgB)
+
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	t.Cleanup(func() {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	})
+	skel := stubs.SkeletonFunc(func(op core.OpNum, args, results *buffer.Buffer) error {
+		if op == slowOp {
+			entered <- struct{}{}
+			<-gate
+		}
+		return nil
+	})
+	obj, _ := singleton.Export(a.env, stressEchoMT, skel, nil)
+	a.srv.PublishRoot("mixed", obj)
+	remote, err := b.srv.ImportRootObject(b.env, a.srv.Addr(), "mixed", stressEchoMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2*8; i++ {
+		if err := stubs.Call(remote, fastOp, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "fast op promoted", opPromoted(a, fastOp))
+
+	slow := make(chan error, 1)
+	go func() { slow <- stubs.Call(remote, slowOp, nil, nil) }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocking op never started")
+	}
+	if opPromoted(a, slowOp)() {
+		t.Fatal("blocking op inherited the fast op's promotion")
+	}
+	if a.srv.eng.Queued() != 0 {
+		t.Fatalf("engine holds %d queued calls, want 0 (the blocking call runs on the only worker)", a.srv.eng.Queued())
+	}
+
+	fast := make(chan error, 1)
+	go func() { fast <- stubs.Call(remote, fastOp, nil, nil) }()
+	select {
+	case err := <-fast:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fast call stalled behind the held blocking call")
+	}
+	close(gate)
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -229,7 +229,17 @@ func (s *Server) handleHello(c *conn, instance, epoch uint64, listenAddr string,
 	c.peerAddr = listenAddr
 	c.helloDone = true
 	c.mu.Unlock()
+	var ourEpoch uint64
+	if c.accepted {
+		ourEpoch = s.nextEpoch
+		s.nextEpoch++
+	}
 	s.mu.Unlock()
+	if c.accepted {
+		// Answer only now that the conn is bound: the dialler treats our
+		// hello as the end of the handshake.
+		_ = s.sendHello(c, ourEpoch)
+	}
 	close(c.helloed)
 }
 

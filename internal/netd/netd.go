@@ -94,11 +94,18 @@ var (
 type exportEntry struct {
 	h    kernel.Handle
 	held map[*session]int
-	// inline is the door's adaptive inline-eligibility state (E20):
-	// promoted doors execute incoming calls directly on the reader
-	// goroutine. Seeded from the door's explicit hint (kernel
-	// Door.SetInline), then driven by observed completion times.
-	inline *dispatch.InlineState
+	// inline is the door's adaptive inline-eligibility state (E20), kept
+	// per operation: calls to a promoted op execute directly on the
+	// reader goroutine. Seeded from the door's explicit hint (kernel
+	// Door.SetInline, which promotes every op), then driven by observed
+	// completion times.
+	inline *dispatch.OpInline
+}
+
+// newExportEntry adopts ref into the export table's entry shape.
+func (s *Server) newExportEntry(ref kernel.Ref, held map[*session]int) *exportEntry {
+	inline := dispatch.NewOpInline(ref.InlineHint())
+	return &exportEntry{h: s.dom.AdoptRef(ref), held: held, inline: inline}
 }
 
 func (e *exportEntry) total() int {
@@ -704,11 +711,7 @@ func (s *Server) exportSlot(slot buffer.Door, c *conn) (descriptor, error) {
 	key := s.nextKey
 	s.nextKey++
 	doorID := ref.DoorID()
-	ist := &dispatch.InlineState{}
-	if ref.InlineHint() {
-		ist.Promote()
-	}
-	s.exports[key] = &exportEntry{h: s.dom.AdoptRef(ref), held: map[*session]int{sess: 1}, inline: ist}
+	s.exports[key] = s.newExportEntry(ref, map[*session]int{sess: 1})
 	s.byDoor[doorID] = key
 	sess.refs[key] = 1
 	if label, ok := s.pendingLabels[doorID]; ok {
@@ -1318,6 +1321,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		c := s.newConn(netc)
+		c.accepted = true // our hello goes out from handleHello
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -1325,8 +1329,6 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.allConns[c] = struct{}{}
-		epoch := s.nextEpoch
-		s.nextEpoch++
 		s.mu.Unlock()
 		gConns.Add(1)
 		s.wg.Add(1)
@@ -1334,7 +1336,6 @@ func (s *Server) acceptLoop() {
 			defer s.wg.Done()
 			s.serveConn(c, "")
 		}()
-		go func() { _ = s.sendHello(c, epoch) }()
 	}
 }
 
@@ -1504,7 +1505,10 @@ func (s *Server) dispatchCall(c *conn, reqID, key uint64, req *buffer.Buffer, in
 		s.reply(c, reqID, codeBadKey, nil, "")
 		return
 	}
-	h, ist := e.h, e.inline
+	// Inline eligibility is per operation: a door's fast reads may run
+	// here while its blocking writes still go to the pool.
+	op, perr := req.PeekUint32()
+	h, ist := e.h, e.inline.For(op, perr == nil)
 	if *budget > 0 && ist.Eligible() {
 		start := time.Now()
 		s.runCall(c, reqID, h, req, info)

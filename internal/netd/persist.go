@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/dispatch"
 	"repro/internal/kernel"
 )
 
@@ -220,11 +219,7 @@ func (s *Server) loadState() error {
 			continue
 		}
 		doorID := ref.DoorID()
-		ist := &dispatch.InlineState{}
-		if ref.InlineHint() {
-			ist.Promote()
-		}
-		s.exports[pe.Key] = &exportEntry{h: s.dom.AdoptRef(ref), held: held, inline: ist}
+		s.exports[pe.Key] = s.newExportEntry(ref, held)
 		s.byDoor[doorID] = pe.Key
 		s.labels[pe.Key] = pe.Label
 		gExports.Add(1)
