@@ -67,7 +67,25 @@ func New(n int) *Buffer {
 // pool recycles Buffers for the marshal hot paths (netd frame assembly,
 // reply payloads). Capacity is retained across uses up to maxPooledCap so
 // a steady-state small call allocates nothing.
-var pool = sync.Pool{New: func() any { return &Buffer{} }}
+var pool = sync.Pool{New: func() any { return newPooled() }}
+
+// firstCap is the byte capacity a fresh pooled buffer is born with: room
+// for a small call's arguments or reply.
+const firstCap = 256
+
+// pooledBuffer allocates a fresh pooled Buffer together with its first
+// array, so a pool miss (the pool is emptied at garbage collections)
+// costs a small call one allocation instead of two.
+type pooledBuffer struct {
+	Buffer
+	first [firstCap]byte
+}
+
+func newPooled() *Buffer {
+	p := new(pooledBuffer)
+	p.data = p.first[:0]
+	return &p.Buffer
+}
 
 // maxPooledCap bounds the byte capacity a pooled buffer may retain; a
 // buffer grown past it (one giant frame) is dropped to the collector
@@ -112,15 +130,6 @@ func getStorage(n int) []byte {
 	return s
 }
 
-// GetStorage returns a length-n byte slice from the storage pool, falling
-// back to a fresh allocation. Pair with Recycle.
-func GetStorage(n int) []byte {
-	if s := getStorage(n); s != nil {
-		return s[:n]
-	}
-	return make([]byte, n)
-}
-
 // Recycle returns a payload array to the storage pool. The caller must
 // own p outright — no buffer, region or reader may alias it afterwards.
 // Oversized arrays are dropped, mirroring Put.
@@ -135,12 +144,16 @@ func Recycle(p []byte) {
 // Put resets b and returns it to the pool. The caller must own b
 // exclusively and must not use it afterwards; as with Reset, any
 // unconsumed door references are dropped, so release them first. Put is
-// safe on buffers not obtained from Get (and on nil, a no-op).
+// safe on buffers not obtained from Get (and on nil, a no-op). A
+// region-backed buffer releases its region whatever its size.
 func Put(b *Buffer) {
-	if b == nil || cap(b.data) > maxPooledCap {
+	if b == nil {
 		return
 	}
 	b.Reset()
+	if cap(b.data) > maxPooledCap {
+		return
+	}
 	pool.Put(b)
 }
 
@@ -170,10 +183,9 @@ func Wrap(data []byte, doors []Door) *Buffer {
 }
 
 // PutShell returns a Wrap'd buffer to the shell pool (nil is a no-op),
-// dropping — not retaining — every reference it carried. Unlike Put this
-// is safe when the byte stream is still live elsewhere: a reply payload
-// built over an inbound frame keeps reading those bytes after the frame's
-// shell is recycled.
+// dropping — not retaining — every reference it carried. Unlike Put it
+// never hands the wrapped bytes to the marshal pool, so it is safe when
+// the byte stream is still live elsewhere.
 func PutShell(b *Buffer) {
 	if b == nil {
 		return
@@ -484,10 +496,6 @@ func (b *Buffer) Detach() ([]byte, bool) {
 	return data, true
 }
 
-// Regioned reports whether the buffer's bytes are backed by a Region —
-// storage with an owner and a release lifecycle of its own.
-func (b *Buffer) Regioned() bool { return b.region != nil }
-
 // A Mark captures a buffer's write position, so a speculative section —
 // bytes and door references — can be rolled back with Truncate.
 type Mark struct {
@@ -522,6 +530,13 @@ func (b *Buffer) Truncate(m Mark) []Door {
 		b.dcursor = m.ndoors
 	}
 	return removed
+}
+
+// AppendDoor adds d to the out-of-band door slots without touching the
+// byte stream: the receiving half of Doors, for a stream whose door tags
+// arrived already spliced in (netd reassembling a buffer from the wire).
+func (b *Buffer) AppendDoor(d Door) {
+	b.doors = append(b.doors, d)
 }
 
 // TakeDoors removes and returns all remaining (unconsumed) door references,

@@ -287,11 +287,6 @@ func NewCall(op OpNum, opts ...CallOption) *Call {
 	return c
 }
 
-// NewBareCall is the deprecated pre-context constructor.
-//
-// Deprecated: use NewCall, which accepts the same single argument.
-func NewBareCall(op OpNum) *Call { return NewCall(op) }
-
 // Args returns the buffer arguments are marshalled into, drawn lazily
 // from the buffer pool — a call that never marshals (a context probe, a
 // preamble that substitutes its own buffer) never allocates one. The
@@ -366,6 +361,14 @@ type ClientOps interface {
 	// Invoke executes the call after the stubs have marshalled all
 	// arguments, returning the result buffer (with any subcontract-level
 	// reply control information already consumed).
+	//
+	// The returned reply belongs to the caller alone: no producer on the
+	// way back — the subcontract, a cache, the kernel's door target, a
+	// network door server — may keep a reference to the buffer, its
+	// bytes or its region. The stubs recycle it (buffer.Put) as soon as
+	// the results are unmarshalled, so a result that must outlive the
+	// call is copied out of it, and a producer that serves bytes it keeps
+	// (a cached snapshot) copies them into a fresh buffer first.
 	Invoke(obj *Object, call *Call) (*buffer.Buffer, error)
 	// Copy produces a shallow copy: a distinct object designating the
 	// same underlying state.

@@ -3,13 +3,17 @@ package netd
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/faultnet"
+	"repro/internal/filesys"
 	"repro/internal/kernel"
 	"repro/internal/sctest"
 	"repro/internal/stubs"
@@ -401,6 +405,103 @@ func TestBulkWireBufferRoundTrip(t *testing.T) {
 		}
 		if isBulk := len(frame.Bytes()) < n; isBulk != wantBulk {
 			t.Fatalf("payload of %d bytes: bulk=%v, want %v", n, isBulk, wantBulk)
+		}
+	}
+}
+
+// releaseCountingTransport is the same-machine tier with a release
+// counter on every region this side maps, and a dial counter.
+type releaseCountingTransport struct {
+	*SameMachineTransport
+	released atomic.Int64
+	dials    atomic.Int64
+}
+
+// Dial implements Transport.
+func (c *releaseCountingTransport) Dial(addr string) (net.Conn, error) {
+	c.dials.Add(1)
+	return c.SameMachineTransport.Dial(addr)
+}
+
+// MapRegion implements RegionMapper, wrapping the mapped region so its
+// release is counted before it runs the granting side's callback.
+func (c *releaseCountingTransport) MapRegion(id uint64) (*buffer.Region, error) {
+	r, err := c.SameMachineTransport.MapRegion(id)
+	if err != nil {
+		return nil, err
+	}
+	return buffer.NewRegion(r.Data, func() {
+		c.released.Add(1)
+		r.Release()
+	}), nil
+}
+
+// TestBulkReplyRegionsReleasedThroughStub closes the bulk tier's loop on
+// the client side: a large result read through a generated stub arrives
+// as a mapped region, and the stub's recycling of the reply must release
+// it, once per call, over one connection that stays open. The 320 KiB
+// reads are past the buffer pool's retention cap, so the release must not
+// depend on the reply being pooled.
+func TestBulkReplyRegionsReleasedThroughStub(t *testing.T) {
+	live0 := sharedRing.live()
+	a := newSameMachine(t, "A", Config{})
+	envA, err := sctest.NewEnv(a.k, "A-fs", filesys.RegisterAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.srv.PublishRoot("fs", filesys.NewService(envA).Object())
+
+	tr := &releaseCountingTransport{SameMachineTransport: SameMachine()}
+	k := kernel.New("B")
+	b, err := Start(k.NewDomain("B-netd"), "unix:"+t.TempDir()+"/nd.sock", WithTransport(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	envB, err := sctest.NewEnv(k, "B-app", filesys.RegisterAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := b.ImportRootObject(envB, a.srv.Addr(), "fs", filesys.FileSystemMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{64 << 10, 320 << 10} {
+		f, err := filesys.FileSystem{Obj: root}.Create(fmt.Sprintf("big%d", size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		big := bigPayload(size)
+		if _, err := f.Write(0, big); err != nil {
+			t.Fatal(err)
+		}
+		read := func() {
+			t.Helper()
+			got, err := f.Read(0, int32(len(big)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, big) {
+				t.Fatalf("%d-byte read returned corrupt bytes", size)
+			}
+		}
+		read() // opens the bulk lane
+		released0, dials0 := tr.released.Load(), tr.dials.Load()
+		if dials0 == 0 {
+			t.Fatal("no dial went through the counting transport")
+		}
+		const n = 32
+		for i := 0; i < n; i++ {
+			read()
+		}
+		if got := tr.released.Load() - released0; got != n {
+			t.Fatalf("%d reply regions released over %d reads of %d bytes, want one per read", got, n, size)
+		}
+		if d := tr.dials.Load() - dials0; d != 0 {
+			t.Fatalf("%d dials during the reads, want 0: the connection must stay open", d)
+		}
+		if live := sharedRing.live(); live != live0 {
+			t.Fatalf("ring holds %d grants after delivered calls, want %d", live, live0)
 		}
 	}
 }

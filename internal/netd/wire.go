@@ -63,8 +63,10 @@ import (
 // the frame carries the region identifier behind the nbytes sentinel.
 // The receiver maps the identifier (a one-shot redemption) and reads the
 // payload in place through a region-backed buffer — the bytes cross the
-// machine exactly once, at grant. Regions stranded by a connection death
-// or an undeliverable reply are reclaimed by the teardown path.
+// machine exactly once, at grant. Recycling that buffer releases the
+// region: the serve path does so after dispatch, and the caller's stub
+// once the results are unmarshalled. Regions stranded by a connection
+// death or an undeliverable reply are reclaimed by the teardown path.
 //
 // Door identifiers are mapped to this extended network form on export and
 // back to (proxy) kernel doors on import, exactly the role of the Spring
@@ -330,16 +332,7 @@ func (s *Server) getWireBuffer(in *buffer.Buffer) (*buffer.Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bytes []byte
-	var region *buffer.Region
-	// A region mapped here is consumed from the ring; if decoding fails
-	// past that point nothing else will ever release it, so every later
-	// error return goes through fail (Release is nil-safe, so inline
-	// payloads pass through untouched).
-	fail := func(err error) (*buffer.Buffer, error) {
-		region.Release()
-		return nil, err
-	}
+	var out *buffer.Buffer
 	if n == bulkSentinel {
 		id, err := in.ReadUint64()
 		if err != nil {
@@ -348,28 +341,38 @@ func (s *Server) getWireBuffer(in *buffer.Buffer) (*buffer.Buffer, error) {
 		if s.mapper == nil {
 			return nil, commErr("bulk region %d from a peer but no region tier configured", id)
 		}
-		region, err = s.mapper.MapRegion(id)
+		region, err := s.mapper.MapRegion(id)
 		if err != nil {
 			// The grant was reclaimed out from under us — the granting
 			// connection died mid-hand-off. Transport-level, retryable.
 			return nil, commErr("map bulk region %d: %v", id, err)
 		}
-		bytes = region.Data
+		out = buffer.FromRegion(region, nil)
 	} else {
-		// The returned buffer aliases the frame's bytes rather than
-		// copying them: the frame was allocated by readFrame for this
-		// message alone, and it stays reachable exactly as long as the
-		// buffer does.
-		bytes, err = in.ReadRaw(int(n))
+		// An inline payload is copied out of the frame into a pooled
+		// buffer. Aliasing the frame instead would hand the frame's
+		// payload-sized array to the pool when the buffer is recycled,
+		// and the next Get with a larger hint would have to allocate.
+		p, err := in.ReadRaw(int(n))
 		if err != nil {
 			return nil, err
 		}
+		out = buffer.Get(len(p))
+		out.WriteRaw(p)
+	}
+	// Past this point every error return goes through fail: a region
+	// mapped here is consumed from the ring and nothing else would ever
+	// release it (Put does), and door references already imported would
+	// leak.
+	fail := func(err error) (*buffer.Buffer, error) {
+		kernel.ReleaseBufferDoors(out)
+		buffer.Put(out)
+		return nil, err
 	}
 	nd, err := in.ReadUvarint()
 	if err != nil {
 		return fail(err)
 	}
-	doors := make([]buffer.Door, 0, nd)
 	for i := uint64(0); i < nd; i++ {
 		addr, err := in.ReadString()
 		if err != nil {
@@ -383,12 +386,9 @@ func (s *Server) getWireBuffer(in *buffer.Buffer) (*buffer.Buffer, error) {
 		if err != nil {
 			return fail(err)
 		}
-		doors = append(doors, ref)
+		out.AppendDoor(ref)
 	}
-	if region != nil {
-		return buffer.FromRegion(region, doors), nil
-	}
-	return buffer.FromParts(bytes, doors), nil
+	return out, nil
 }
 
 // dropWireRegion releases the bulk region an undeliverable wirebuf

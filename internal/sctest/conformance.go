@@ -1,6 +1,7 @@
 package sctest
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -56,6 +57,7 @@ func (c Conformance) Run(t *testing.T) {
 	t.Run(c.Name+"/cancelled", c.testCancelled)
 	t.Run(c.Name+"/deadline-no-door-leak", c.testDeadlineNoDoorLeak)
 	t.Run(c.Name+"/deadline-after-success", c.testDeadlineAfterSuccess)
+	t.Run(c.Name+"/result-stability", c.testResultStability)
 }
 
 // world builds the standard two-domain fixture.
@@ -325,6 +327,45 @@ func (c Conformance) testDeadlineAfterSuccess(t *testing.T) {
 	before := ctr.Value()
 	if v, err := Add(remote, 4, core.WithTimeout(time.Minute), core.WithTrace(42)); err != nil || v != before+4 {
 		t.Fatalf("Add under generous deadline = %d, %v", v, err)
+	}
+}
+
+// testResultStability: a reply belongs to its caller alone (see
+// core.ClientOps.Invoke), and the stubs recycle it once the results are
+// read. A byte result must therefore stay byte-identical while 64 more
+// calls on the same object churn the buffer pool, and every reply must
+// carry its own call's bytes. A producer that hands out storage it still
+// references, or a stub that keeps bytes aliasing a recycled reply,
+// breaks one or the other. The calls alternate two sizes and repeat
+// their arguments, so a caching subcontract serves most of them from its
+// reply cache.
+func (c Conformance) testResultStability(t *testing.T) {
+	_, cli, obj, _ := c.world(t)
+	remote, err := Transfer(obj, cli, CounterMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 4096
+	first, err := Pattern(remote, 1, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PatternBytes(1, size)
+	if !bytes.Equal(first, want) {
+		t.Fatal("pattern(1) returned the wrong bytes")
+	}
+	for i := 0; i < 64; i++ {
+		seed, n := uint32(2+i%4), size/(1+i%2)
+		got, err := Pattern(remote, seed, n)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if !bytes.Equal(got, PatternBytes(seed, n)) {
+			t.Fatalf("call %d: pattern(%d, %d) returned another reply's bytes", i, seed, n)
+		}
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatal("a returned result changed under later calls: it aliases a recycled reply")
 	}
 }
 

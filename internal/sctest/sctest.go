@@ -22,13 +22,14 @@ const (
 	OpGet core.OpNum = iota
 	OpAdd
 	OpBoom
+	OpPattern
 )
 
 // CounterMT is the counter method table. DefaultSC is singleton (ID 1).
 var CounterMT = &core.MTable{
 	Type:      CounterType,
 	DefaultSC: 1,
-	Ops:       []string{"get", "add", "boom"},
+	Ops:       []string{"get", "add", "boom", "pattern"},
 }
 
 func init() {
@@ -85,6 +86,17 @@ func (c *Counter) Skeleton() stubs.Skeleton {
 			return nil
 		case OpBoom:
 			return errors.New("counter exploded")
+		case OpPattern:
+			seed, err := args.ReadUint32()
+			if err != nil {
+				return err
+			}
+			n, err := args.ReadUint32()
+			if err != nil {
+				return err
+			}
+			results.WriteBytes(PatternBytes(seed, int(n)))
+			return nil
 		default:
 			return stubs.ErrBadOp
 		}
@@ -114,6 +126,36 @@ func Add(obj *core.Object, delta int64, opts ...core.CallOption) (int64, error) 
 			return err
 		}, opts...)
 	return v, err
+}
+
+// PatternBytes is the result of pattern(seed, n): n bytes that depend on
+// seed and on their position, so bytes from one reply are told apart
+// from another's.
+func PatternBytes(seed uint32, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(seed*31 + uint32(i)*7)
+	}
+	return p
+}
+
+// Pattern is the client stub for pattern(seed, n), a pure function of
+// its arguments returning a byte sequence. Like generated stubs, it
+// copies the bytes out of the reply, which the stub layer recycles.
+func Pattern(obj *core.Object, seed uint32, n int, opts ...core.CallOption) ([]byte, error) {
+	var out []byte
+	err := stubs.Call(obj, OpPattern,
+		func(b *buffer.Buffer) error {
+			b.WriteUint32(seed)
+			b.WriteUint32(uint32(n))
+			return nil
+		},
+		func(b *buffer.Buffer) error {
+			p, err := b.ReadBytes()
+			out = append([]byte(nil), p...)
+			return err
+		}, opts...)
+	return out, err
 }
 
 // Boom is the client stub for boom(), which always raises a remote

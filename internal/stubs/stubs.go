@@ -117,24 +117,34 @@ func Call(obj *core.Object, op core.OpNum, marshalArgs, unmarshalResults Marshal
 		return err
 	}
 	err = DecodeReply(reply, unmarshalResults)
-	// The round trip completed, so every stage is done with the argument
-	// bytes: a local skeleton has returned (retained arguments must be
-	// copied — see Skeleton), and a network grant has been read before the
-	// reply was sent. Recycle the buffer unless a preamble owns it (its
-	// Release hook recycles into the subcontract's own pool). An errored
-	// invoke skips this: a timed-out or cancelled call may still be in
-	// flight, and the buffer must stay intact behind it.
+	// The reply is the caller's alone (see core.ClientOps.Invoke) and the
+	// results are unmarshalled out of it, so it goes back to the pool —
+	// releasing the bulk region a region-backed reply carries.
+	buffer.Put(reply)
+	releaseArgs(call, args)
+	return err
+}
+
+// releaseArgs recycles a completed call's argument buffer. The round
+// trip completed, so every stage is done with the argument bytes: a
+// local skeleton has returned (retained arguments must be copied — see
+// Skeleton), and a network grant has been read before the reply was
+// sent. A preamble-owned buffer is left to the preamble's Release hook,
+// which recycles it into the subcontract's own pool. An errored invoke
+// never gets here: a timed-out or cancelled call may still be in flight,
+// and the buffer must stay intact behind it.
+func releaseArgs(call *core.Call, args *buffer.Buffer) {
 	if call.Release == nil {
 		kernel.ReleaseBufferDoors(args)
 		buffer.Put(args)
 	}
-	return err
 }
 
 // DecodeReply consumes a reply buffer's status and either unmarshals the
 // results or reconstructs the remote exception. It releases any door
-// references left unconsumed. Specialized stubs (§9.1; see
-// doorsc.FastCall) share it with the general-purpose path.
+// references left unconsumed; the caller then recycles the reply, so
+// unmarshalResults must copy any bytes it keeps. Specialized stubs (§9.1;
+// see doorsc.FastCall) share it with the general-purpose path.
 func DecodeReply(reply *buffer.Buffer, unmarshalResults MarshalFunc) error {
 	defer kernel.ReleaseBufferDoors(reply)
 	status, err := reply.ReadByte()
@@ -198,10 +208,8 @@ func CallOneway(obj *core.Object, op core.OpNum, marshalArgs MarshalFunc, opts .
 		return err
 	}
 	kernel.ReleaseBufferDoors(reply)
-	if call.Release == nil {
-		kernel.ReleaseBufferDoors(args)
-		buffer.Put(args)
-	}
+	buffer.Put(reply)
+	releaseArgs(call, args)
 	return nil
 }
 

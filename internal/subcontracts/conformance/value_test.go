@@ -43,8 +43,8 @@ func TestValueInstrumentation(t *testing.T) {
 	obj := value.New(env, probeMT, []byte{7, 7})
 	var got []byte
 	err = stubs.Call(obj, 0, nil, func(b *buffer.Buffer) error {
-		var err error
-		got, err = b.ReadBytes()
+		p, err := b.ReadBytes()
+		got = append([]byte(nil), p...) // the stub recycles the reply
 		return err
 	})
 	if err != nil {

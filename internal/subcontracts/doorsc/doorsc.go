@@ -228,9 +228,9 @@ func ServerProcTyped(typ core.TypeID, skel stubs.Skeleton) kernel.ServerProcInfo
 		// Drawn from the pool, sized by the request: replies tend to be
 		// commensurate with their calls, and a pooled hit spares the
 		// marshal loop's growth reallocation. A mis-sized hint only means
-		// the buffer grows as it always did. The remote serve path (netd)
-		// recycles the buffer after the reply ships; a local caller keeps
-		// it, and the pool simply re-arms from the allocator.
+		// the buffer grows as it always did. Whoever receives the reply
+		// recycles it: the remote serve path (netd) after the reply
+		// ships, a local caller's stub once the results are read.
 		reply := buffer.Get(128 + req.Len())
 		if err := stubs.ServeCallInfo(skel, req, reply, info); err != nil {
 			return nil, err

@@ -57,7 +57,7 @@ func fastCall(obj *core.Object, sc *Ops, op core.OpNum, marshalArgs, unmarshalRe
 			return err
 		}
 	}
-	args := buffer.New(64)
+	args := buffer.Get(64)
 	args.WriteUint32(uint32(op))
 	if marshalArgs != nil {
 		if err := marshalArgs(args); err != nil {
@@ -67,7 +67,12 @@ func fastCall(obj *core.Object, sc *Ops, op core.OpNum, marshalArgs, unmarshalRe
 	}
 	reply, err := obj.Env.Domain.CallInfo(r.H, args, info)
 	if err != nil {
-		return err
+		return err // the call may still be in flight: args stay intact
 	}
-	return stubs.DecodeReply(reply, unmarshalResults)
+	err = stubs.DecodeReply(reply, unmarshalResults)
+	// Both buffers are dead, on the rules stubs.Call follows.
+	buffer.Put(reply)
+	kernel.ReleaseBufferDoors(args)
+	buffer.Put(args)
+	return err
 }
